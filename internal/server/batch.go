@@ -97,9 +97,7 @@ type BatchScheduleResponse struct {
 // byte-identically.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := encodeIndented(&buf, v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -19,7 +19,7 @@ import (
 // replayCohort replays the eval cohort online, producing exactly the
 // observability artifacts netmaster-sim writes to an -obs-dir — but in
 // memory, ready to ship to /v1/fleet/ingest.
-func replayCohort(t *testing.T, days int) []IngestRequest {
+func replayCohort(t testing.TB, days int) []IngestRequest {
 	t.Helper()
 	model := power.Model3G()
 	var out []IngestRequest

@@ -295,7 +295,9 @@ func (rt *Router) limited(endpoint string, h func(http.ResponseWriter, *http.Req
 				ae = &apiError{Code: http.StatusInternalServerError,
 					Kind: "internal", Msg: err.Error()}
 			}
-			writeError(sw, ae)
+			if sw.status == 0 {
+				writeError(sw, ae)
+			}
 			errKind = ae.Kind
 		}
 		rt.finish(ep, sp, sw.Header(), sw.status, errKind, sw.bytes, arrive, start)

@@ -390,7 +390,11 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 				ae = &apiError{Code: http.StatusInternalServerError,
 					Kind: "internal", Msg: err.Error()}
 			}
-			writeError(sw, ae)
+			// A handler that already started its body has sent its
+			// status; a second envelope would corrupt the body.
+			if sw.status == 0 {
+				writeError(sw, ae)
+			}
 			errKind = ae.Kind
 		}
 		s.finish(ep, sp, sw.Header(), sw.status, errKind, sw.bytes, arrive, start)
@@ -426,13 +430,12 @@ func (s *Server) finish(ep *endpointObs, sp reqtrace.Span, hdr http.Header, stat
 	})
 }
 
-// writeJSON writes an indented, deterministic JSON body.
+// writeJSON writes an indented, deterministic JSON body. The status is
+// committed with the first body byte: a value that fails to marshal
+// leaves the response untouched for the request spine's error answer.
 func writeJSON(w http.ResponseWriter, code int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return encodeIndented(&headerOnWrite{ResponseWriter: w, code: code}, v)
 }
 
 func writeError(w http.ResponseWriter, e *apiError) {
@@ -448,9 +451,9 @@ func writeError(w http.ResponseWriter, e *apiError) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.Code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
+	// The status is already sent; if the envelope cannot be written
+	// the client is gone and there is no one left to tell.
+	_ = encodeIndented(w, struct {
 		Error *apiError `json:"error"`
 	}{e})
 }

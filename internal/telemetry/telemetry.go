@@ -308,7 +308,8 @@ type FleetSnapshot struct {
 
 // Export freezes the aggregate into its canonical fleet snapshot. Every
 // float fold runs in sorted device-ID order, so the output is a pure
-// function of the device set.
+// function of the device set. The device IDs are sorted once; each
+// series walks them and skips the devices it lacks.
 func (a *Agg) Export() FleetSnapshot {
 	fs := FleetSnapshot{
 		Devices:    len(a.devices),
@@ -325,8 +326,11 @@ func (a *Agg) Export() FleetSnapshot {
 	for name, m := range a.counters {
 		st := CounterStat{Devices: len(m)}
 		first := true
-		for _, id := range sortedKeys(m) {
-			v := m[id]
+		for _, id := range fs.DeviceIDs {
+			v, ok := m[id]
+			if !ok {
+				continue
+			}
 			st.Total += v
 			if first || v < st.Min {
 				st.Min = v
@@ -342,8 +346,11 @@ func (a *Agg) Export() FleetSnapshot {
 		st := GaugeStat{Devices: len(m)}
 		var sum float64
 		first := true
-		for _, id := range sortedKeys(m) {
-			v := m[id]
+		for _, id := range fs.DeviceIDs {
+			v, ok := m[id]
+			if !ok {
+				continue
+			}
 			sum += v
 			if first || v < st.Min {
 				st.Min = v
@@ -365,8 +372,11 @@ func (a *Agg) Export() FleetSnapshot {
 			Devices: len(h.perDevice),
 		}
 		perBucket := make([]int64, len(h.bounds))
-		for _, id := range sortedKeys(h.perDevice) {
-			dev := h.perDevice[id]
+		for _, id := range fs.DeviceIDs {
+			dev, ok := h.perDevice[id]
+			if !ok {
+				continue
+			}
 			for i, v := range dev.buckets {
 				perBucket[i] += v
 			}
