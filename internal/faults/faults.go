@@ -226,9 +226,6 @@ type Stats struct {
 	Injected  [numOps]int
 }
 
-// DecisionsFor and InjectedFor read one boundary's counters.
-func (s Stats) DecisionsFor(op Op) int { return s.Decisions[op] }
-
 // InjectedFor returns how many non-OK outcomes the boundary drew.
 func (s Stats) InjectedFor(op Op) int { return s.Injected[op] }
 

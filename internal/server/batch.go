@@ -127,8 +127,8 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) error
 	if err := parallel.ForEachNCtx(r.Context(), s.workers(), len(req.Items), func(i int) error {
 		it := &req.Items[i]
 		results[i].DeviceID = it.DeviceID
-		if it.DeviceID == "" {
-			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: "device_id must be set"}
+		if msg := deviceIDProblem(it.DeviceID); msg != "" {
+			results[i].Error = &BatchItemError{Kind: "bad_request", Msg: msg}
 		}
 		return nil
 	}); err != nil {

@@ -453,13 +453,27 @@ func (s *Server) simulateDual(w http.ResponseWriter, r *http.Request, req Simula
 	})
 }
 
+// deviceIDProblem says why an ingested device ID is unacceptable, or
+// returns "". "server" and "router" are reserved: /metrics aggregates
+// the process's own registry under that ID beside the fleet, so a
+// device holding it would fail every default scrape as a duplicate.
+func deviceIDProblem(id string) string {
+	switch id {
+	case "":
+		return "device_id must be set"
+	case "server", "router":
+		return fmt.Sprintf("device_id %q is reserved", id)
+	}
+	return ""
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	if req.DeviceID == "" {
-		return &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: "device_id must be set"}
+	if msg := deviceIDProblem(req.DeviceID); msg != "" {
+		return &apiError{Code: http.StatusBadRequest, Kind: "bad_request", Msg: msg}
 	}
 	// Durability before acknowledgement: the journal append happens (and
 	// fsyncs) before the 200, so an acked ingest survives any crash.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"netmaster/internal/metrics"
@@ -65,7 +68,7 @@ func offlineFleetDoc(t *testing.T, ingests []IngestRequest, workers int) []byte 
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := telemetry.AggregateParallel(workers, devs)
+	agg, err := telemetry.Aggregate(devs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,4 +133,45 @@ func TestIngestRejectsAnonymous(t *testing.T) {
 	if _, err := c.Ingest(context.Background(), IngestRequest{}); err == nil {
 		t.Fatal("ingest without device_id accepted")
 	}
+}
+
+// checkReservedIDsRejected ingests the reserved device IDs through c —
+// singly and in one batch beside a valid device — expecting a 400 and
+// per-item bad_request errors, then requires the default /metrics scrape
+// at ts to still answer.
+func checkReservedIDsRejected(t *testing.T, ts *httptest.Server, c *Client, valid IngestRequest) {
+	t.Helper()
+	ctx := context.Background()
+	for _, id := range []string{"server", "router"} {
+		in := valid
+		in.DeviceID = id
+		_, err := c.Ingest(ctx, in)
+		var ae *apiError
+		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest || ae.Kind != "bad_request" {
+			t.Fatalf("ingest of reserved %q: err %v, want 400 bad_request", id, err)
+		}
+	}
+	server, router := valid, valid
+	server.DeviceID, router.DeviceID = "server", "router"
+	resp, err := c.IngestBatch(ctx, BatchIngestRequest{Items: []IngestRequest{server, valid, router}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != 1 || !resp.Results[1].OK {
+		t.Fatalf("valid item not accepted: %+v", resp.Results)
+	}
+	for _, i := range []int{0, 2} {
+		if r := resp.Results[i]; r.OK || r.Error == nil || r.Error.Kind != "bad_request" {
+			t.Errorf("reserved item %d result = %+v, want bad_request", i, r)
+		}
+	}
+	get(t, ts, "/metrics")
+}
+
+// TestIngestRejectsReservedIDs: the IDs /metrics gives the process's own
+// registry cannot be ingested, so no device can break the default
+// scrape with a duplicate.
+func TestIngestRejectsReservedIDs(t *testing.T) {
+	_, ts, c := testServer(t, nil)
+	checkReservedIDsRejected(t, ts, c, replayCohort(t, 1)[0])
 }

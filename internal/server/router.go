@@ -4,9 +4,9 @@
 // internal/shard consistent-hash ring. Single-device requests forward
 // to the owning shard untouched; fleet-wide reads (/v1/fleet/report,
 // /v1/fleet/devices, /metrics) fan out to every shard and fold the
-// per-device dumps through the same exactly-associative telemetry merge
-// a single node uses — so a routed fleet report is byte-identical to a
-// one-node run over the same cohort. Batch endpoints partition their
+// per-device dumps through the same telemetry fold a single node uses,
+// whose export depends only on the device set — so a routed fleet
+// report is byte-identical to a one-node run over the same cohort. Batch endpoints partition their
 // items by device, fan sub-batches out in parallel, and stitch the
 // per-item results back into request order; a shard that cannot be
 // reached fails only its own items (kind "bad_gateway"), never the
@@ -509,7 +509,7 @@ func (rt *Router) handleFleetReport(w http.ResponseWriter, r *http.Request) erro
 	if err != nil {
 		return err
 	}
-	doc, err := fleetDocFromDumps(rt.workers(), dumps)
+	doc, err := fleetDocFromDumps(dumps)
 	if err != nil {
 		return err
 	}
@@ -544,7 +544,7 @@ func (rt *Router) handleFleetDevices(w http.ResponseWriter, r *http.Request) err
 // registry, and the default is both. The additional "serve" scope
 // merges the serve-tier process registries instead — the router's own
 // router_* series plus every shard's server_* series, folded through
-// the same exactly-associative merge, so per-endpoint latency
+// the same telemetry aggregate, so per-endpoint latency
 // histograms sum bucket-wise across shards and two scrapes of
 // identical state render byte-identical text. ?format=json&scope=self
 // returns the raw registry snapshot, as on the daemon.

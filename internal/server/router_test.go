@@ -419,3 +419,10 @@ func TestRouterBatchStressWithDegradedShard(t *testing.T) {
 		t.Errorf("healthy shards hold %d devices, want %d", got, healthy)
 	}
 }
+
+// TestRouterIngestRejectsReservedIDs: routed ingests reach the shards'
+// device-ID validation, so the router's default scrape survives them too.
+func TestRouterIngestRejectsReservedIDs(t *testing.T) {
+	f := routerFixture(t, 3, nil, nil)
+	checkReservedIDsRejected(t, f.ts, f.client, replayCohort(t, 1)[0])
+}

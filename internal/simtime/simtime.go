@@ -1,6 +1,6 @@
 // Package simtime provides the time arithmetic used throughout the
 // NetMaster simulation: simulation instants, durations, day/hour
-// decomposition, half-open intervals and uniform slot grids.
+// decomposition and half-open intervals.
 //
 // Simulation time is a monotonically increasing count of seconds from the
 // start of the trace (day 0, 00:00). Using an integer second count instead

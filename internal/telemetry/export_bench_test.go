@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// exportSortPerSeries is the previous Export: the same folds, but each
-// counter, gauge and histogram series sorts its own device IDs. It is
-// kept as the reference the single-sort Export must reproduce.
-func exportSortPerSeries(a *Agg) FleetSnapshot {
+// exportSortPerSeries is the reference aggregate's export before it
+// sorted the device IDs once: the same folds, but each counter, gauge
+// and histogram series sorts its own device IDs.
+func exportSortPerSeries(a *refAgg) FleetSnapshot {
 	fs := FleetSnapshot{
 		Devices:    len(a.devices),
 		DeviceIDs:  sortedKeys(a.devices),
@@ -91,38 +91,53 @@ func exportSortPerSeries(a *Agg) FleetSnapshot {
 // TestExportMatchesPerSeriesSort: walking the once-sorted device IDs
 // and skipping absent ones folds every series in the same order as
 // sorting each series' own keys, so the snapshots are identical — float
-// sums included — on fleets where most series miss some devices.
+// sums included — on fleets where most series miss some devices. The
+// columnar Export must agree with both.
 func TestExportMatchesPerSeriesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{0, 1, 7, 300} {
-		a, err := AggregateParallel(3, randomFleet(rng, n))
+		devs := randomFleet(rng, n)
+		ref, err := refAggregate(devs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := a.Export(), exportSortPerSeries(a); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d devices: Export differs from the per-series sort", n)
+		a, err := Aggregate(devs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := exportSortPerSeries(ref)
+		if !reflect.DeepEqual(ref.Export(), want) {
+			t.Fatalf("%d devices: reference Export differs from the per-series sort", n)
+		}
+		if !reflect.DeepEqual(a.Export(), want) {
+			t.Fatalf("%d devices: columnar Export differs from the per-series sort", n)
 		}
 	}
 }
 
-// BenchmarkExport compares the per-series sort (old) with the single
-// device-ID sort (new) on a 4000-device fleet; "speedup" times both
+// BenchmarkExport compares the reference map-of-maps export (old) with
+// the columnar one (new) on a 4000-device fleet; "speedup" times both
 // arms in one iteration and reports the ratio.
 func BenchmarkExport(b *testing.B) {
-	a, err := Aggregate(randomFleet(rand.New(rand.NewSource(4000)), 4000)...)
+	devs := randomFleet(rand.New(rand.NewSource(4000)), 4000)
+	ref, err := refAggregate(devs...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Export(), exportSortPerSeries(a)) {
-		b.Fatal("Export differs from the per-series sort")
+	a, err := Aggregate(devs...)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("old-sort-per-series", func(b *testing.B) {
+	if !reflect.DeepEqual(a.Export(), ref.Export()) {
+		b.Fatal("columnar Export differs from the reference")
+	}
+	b.Run("old-map-of-maps", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			exportSortPerSeries(a)
+			ref.Export()
 		}
 	})
-	b.Run("new-sort-once", func(b *testing.B) {
+	b.Run("new-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a.Export()
@@ -131,7 +146,7 @@ func BenchmarkExport(b *testing.B) {
 	b.Run("speedup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			exportSortPerSeries(a)
+			ref.Export()
 			old := time.Since(start)
 			start = time.Now()
 			a.Export()

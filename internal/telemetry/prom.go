@@ -1,9 +1,10 @@
-// Prometheus text-exposition export of a fleet snapshot, so a merged
-// cohort registry can be scraped into, or imported by, standard
-// dashboards. The output is deterministic: metric families and label
-// sets are emitted in sorted order and floats use Go's shortest
-// round-trip formatting.
 package telemetry
+
+// Prometheus text-exposition export of a fleet snapshot, so a cohort's
+// aggregate can be scraped into, or imported by, standard dashboards.
+// The output is deterministic: metric families and label sets are
+// emitted in sorted order and floats use Go's shortest round-trip
+// formatting.
 
 import (
 	"fmt"

@@ -1,26 +1,22 @@
 // Package telemetry rolls per-device metrics snapshots up into fleet
 // aggregates. A single simulated device exports a metrics.Snapshot; a
-// cohort run produces one per device; this package merges them into one
+// cohort run produces one per device; this package folds them into one
 // FleetSnapshot — counters summed, gauges reduced to min/mean/max,
-// histograms merged bucket-wise with deterministic quantile estimates —
+// histograms summed bucket-wise with deterministic quantile estimates —
 // the population-level view the paper's headline numbers are stated in.
 //
-// The merge is *exactly* associative and order-insensitive, which is the
-// property that lets sharded cohorts roll up in parallel without
-// changing the answer:
+// An export is a pure function of the device set: the order in which
+// devices were added never shows in its bytes.
 //
-//   - Integer state (counter values, histogram bucket counts) merges by
-//     int64 addition — exact in any order.
-//   - Float state (gauge values, histogram sums) is never added during a
-//     merge. It is kept per device, merges as map union, and is folded
-//     in sorted device-ID order only at Export time — so the float
-//     additions happen in one canonical order no matter how the
-//     aggregates were combined.
+//   - Integer state (counter values, histogram bucket counts) folds by
+//     int64 addition, min and max — exact in any order.
+//   - Float state (gauge values, histogram sums) is kept per device as
+//     added and folded only at Export time, in sorted device-ID order —
+//     so float rounding, and min/max ties between -0 and +0 or NaN,
+//     resolve the same way whatever order the devices arrived in.
 //
-// Two aggregates built from the same device set therefore export
-// byte-identical JSON regardless of aggregation order or sharding, a
-// property the package's tests pin with random permutations and
-// association trees.
+// The package's tests pin this with random permutations of the input
+// and against a map-based reference implementation.
 package telemetry
 
 import (
@@ -30,7 +26,6 @@ import (
 	"sort"
 
 	"netmaster/internal/metrics"
-	"netmaster/internal/parallel"
 	"netmaster/internal/simtime"
 )
 
@@ -41,42 +36,49 @@ type Device struct {
 	Snapshot metrics.Snapshot
 }
 
-// histDev is one device's share of a histogram: bucket counts are stored
-// non-cumulative so device merging is plain addition per bucket.
-type histDev struct {
+// column is one counter or gauge series: entry j is device dev[j]'s
+// value val[j], in Add order.
+type column[V int64 | float64] struct {
+	dev []int32
+	val []V
+}
+
+// histColumn is one histogram series. Entry j belongs to device dev[j];
+// its cumulative bucket counts are
+// buckets[j*len(bounds) : (j+1)*len(bounds)].
+type histColumn struct {
+	bounds   []float64
+	dev      []int32
 	buckets  []int64
-	overflow int64
-	count    int64
-	sum      float64
+	overflow []int64
+	count    []int64
+	sum      []float64
 }
 
-// histAgg is a histogram's merge state: the common bounds plus each
-// device's contribution.
-type histAgg struct {
-	bounds    []float64
-	perDevice map[string]histDev
-}
-
-// Agg is a mergeable fleet aggregate. The zero value is not usable;
-// build one with Aggregate (possibly over zero devices) and combine with
-// Merge. All internal state is keyed by device ID, so combining two
-// aggregates is map union — exactly associative and commutative.
+// Agg is a fleet aggregate under construction. The zero value is not
+// usable; build one with NewAgg or Aggregate and extend it with Add.
+// Devices are numbered in Add order; every series is a column of
+// per-device entries, so adding a device costs one map insert plus an
+// append per series it reports.
 type Agg struct {
-	devices  map[string]bool
-	simTimes map[string]simtime.Instant
-	counters map[string]map[string]int64
-	gauges   map[string]map[string]float64
-	hists    map[string]*histAgg
+	// capHint is how many devices the aggregate expects; a new column
+	// reserves room for the ones still to come.
+	capHint  int
+	ids      []string
+	index    map[string]int32
+	simTimes []simtime.Instant
+	counters map[string]*column[int64]
+	gauges   map[string]*column[float64]
+	hists    map[string]*histColumn
 }
 
 // NewAgg returns an empty aggregate.
 func NewAgg() *Agg {
 	return &Agg{
-		devices:  map[string]bool{},
-		simTimes: map[string]simtime.Instant{},
-		counters: map[string]map[string]int64{},
-		gauges:   map[string]map[string]float64{},
-		hists:    map[string]*histAgg{},
+		index:    map[string]int32{},
+		counters: map[string]*column[int64]{},
+		gauges:   map[string]*column[float64]{},
+		hists:    map[string]*histColumn{},
 	}
 }
 
@@ -85,6 +87,10 @@ func NewAgg() *Agg {
 // must share bounds across devices.
 func Aggregate(devs ...Device) (*Agg, error) {
 	a := NewAgg()
+	a.capHint = len(devs)
+	a.index = make(map[string]int32, len(devs))
+	a.ids = make([]string, 0, len(devs))
+	a.simTimes = make([]simtime.Instant, 0, len(devs))
 	for _, d := range devs {
 		if err := a.Add(d); err != nil {
 			return nil, err
@@ -93,64 +99,65 @@ func Aggregate(devs ...Device) (*Agg, error) {
 	return a, nil
 }
 
-// Add folds one device snapshot into the aggregate.
+// Add folds one device snapshot into the aggregate. A rejected device
+// leaves the aggregate unchanged.
 func (a *Agg) Add(d Device) error {
 	if d.ID == "" {
 		return fmt.Errorf("telemetry: device with empty ID")
 	}
-	if a.devices[d.ID] {
+	if _, dup := a.index[d.ID]; dup {
 		return fmt.Errorf("telemetry: device %q aggregated twice", d.ID)
 	}
-	a.devices[d.ID] = true
-	a.simTimes[d.ID] = d.Snapshot.SimTime
-	for name, v := range d.Snapshot.Counters {
-		m := a.counters[name]
-		if m == nil {
-			m = map[string]int64{}
-			a.counters[name] = m
-		}
-		m[d.ID] = v
-	}
-	for name, v := range d.Snapshot.Gauges {
-		m := a.gauges[name]
-		if m == nil {
-			m = map[string]float64{}
-			a.gauges[name] = m
-		}
-		m[d.ID] = v
-	}
 	for name, hs := range d.Snapshot.Histograms {
-		h := a.hists[name]
-		if h == nil {
-			h = &histAgg{
-				bounds:    append([]float64(nil), hs.Bounds...),
-				perDevice: map[string]histDev{},
-			}
-			a.hists[name] = h
-		}
-		if !boundsEqual(h.bounds, hs.Bounds) {
+		if h := a.hists[name]; h != nil && !boundsEqual(h.bounds, hs.Bounds) {
 			return fmt.Errorf("telemetry: histogram %q bounds differ on device %q", name, d.ID)
 		}
 		if len(hs.Buckets) != len(hs.Bounds) {
 			return fmt.Errorf("telemetry: histogram %q malformed on device %q: %d buckets for %d bounds",
 				name, d.ID, len(hs.Buckets), len(hs.Bounds))
 		}
-		// Snapshot buckets are cumulative; store per-bucket deltas so
-		// merging devices is plain integer addition.
-		dev := histDev{
-			buckets:  make([]int64, len(hs.Buckets)),
-			overflow: hs.Overflow,
-			count:    hs.Count,
-			sum:      hs.Sum,
+	}
+	dev := int32(len(a.ids))
+	a.index[d.ID] = dev
+	a.ids = append(a.ids, d.ID)
+	a.simTimes = append(a.simTimes, d.Snapshot.SimTime)
+	room := max(a.capHint-int(dev), 1)
+	for name, v := range d.Snapshot.Counters {
+		appendEntry(a.counters, name, dev, v, room)
+	}
+	for name, v := range d.Snapshot.Gauges {
+		appendEntry(a.gauges, name, dev, v, room)
+	}
+	for name, hs := range d.Snapshot.Histograms {
+		h := a.hists[name]
+		if h == nil {
+			h = &histColumn{
+				bounds:   append([]float64(nil), hs.Bounds...),
+				dev:      make([]int32, 0, room),
+				buckets:  make([]int64, 0, room*len(hs.Bounds)),
+				overflow: make([]int64, 0, room),
+				count:    make([]int64, 0, room),
+				sum:      make([]float64, 0, room),
+			}
+			a.hists[name] = h
 		}
-		var prev int64
-		for i, cum := range hs.Buckets {
-			dev.buckets[i] = cum - prev
-			prev = cum
-		}
-		h.perDevice[d.ID] = dev
+		h.dev = append(h.dev, dev)
+		h.buckets = append(h.buckets, hs.Buckets...)
+		h.overflow = append(h.overflow, hs.Overflow)
+		h.count = append(h.count, hs.Count)
+		h.sum = append(h.sum, hs.Sum)
 	}
 	return nil
+}
+
+func appendEntry[V int64 | float64](cols map[string]*column[V], name string, dev int32, v V, room int) {
+	c := cols[name]
+	if c == nil {
+		c = &column[V]{dev: make([]int32, 0, room), val: make([]V, 0, room)}
+		cols[name] = c
+	}
+	c.dev = append(c.dev, dev)
+	c.val = append(c.val, v)
 }
 
 func boundsEqual(a, b []float64) bool {
@@ -163,104 +170,6 @@ func boundsEqual(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// Merge combines aggregates into a new one. Each device may appear in at
-// most one part. Merge(Merge(a,b),c) and Merge(a,Merge(b,c)) export
-// byte-identical snapshots, as do any permutations of the parts.
-func Merge(parts ...*Agg) (*Agg, error) {
-	out := NewAgg()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := out.MergeFrom(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// MergeFrom folds another aggregate into this one (map union).
-func (a *Agg) MergeFrom(b *Agg) error {
-	for id := range b.devices {
-		if a.devices[id] {
-			return fmt.Errorf("telemetry: device %q aggregated twice", id)
-		}
-		a.devices[id] = true
-		a.simTimes[id] = b.simTimes[id]
-	}
-	for name, m := range b.counters {
-		dst := a.counters[name]
-		if dst == nil {
-			dst = map[string]int64{}
-			a.counters[name] = dst
-		}
-		for id, v := range m {
-			dst[id] = v
-		}
-	}
-	for name, m := range b.gauges {
-		dst := a.gauges[name]
-		if dst == nil {
-			dst = map[string]float64{}
-			a.gauges[name] = dst
-		}
-		for id, v := range m {
-			dst[id] = v
-		}
-	}
-	for name, h := range b.hists {
-		dst := a.hists[name]
-		if dst == nil {
-			dst = &histAgg{
-				bounds:    append([]float64(nil), h.bounds...),
-				perDevice: map[string]histDev{},
-			}
-			a.hists[name] = dst
-		}
-		if !boundsEqual(dst.bounds, h.bounds) {
-			return fmt.Errorf("telemetry: histogram %q bounds differ between shards", name)
-		}
-		for id, dev := range h.perDevice {
-			dst.perDevice[id] = dev
-		}
-	}
-	return nil
-}
-
-// AggregateParallel shards the devices across the worker pool, builds a
-// per-shard aggregate on each worker via internal/parallel, and merges
-// the shards. Because the merge is exactly associative and
-// order-insensitive, the result is byte-identical to Aggregate(devs...)
-// for every worker count.
-func AggregateParallel(workers int, devs []Device) (*Agg, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	shards := workers
-	if shards > len(devs) {
-		shards = len(devs)
-	}
-	if shards <= 1 {
-		return Aggregate(devs...)
-	}
-	per := (len(devs) + shards - 1) / shards
-	parts, err := parallel.MapN(workers, shards, func(i int) (*Agg, error) {
-		lo := i * per
-		if lo > len(devs) {
-			lo = len(devs)
-		}
-		hi := lo + per
-		if hi > len(devs) {
-			hi = len(devs)
-		}
-		return Aggregate(devs[lo:hi]...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return Merge(parts...)
 }
 
 // CounterStat is a counter's fleet rollup: the sum across devices plus
@@ -280,7 +189,7 @@ type GaugeStat struct {
 	Devices int     `json:"devices"`
 }
 
-// HistogramStat is a merged histogram: bucket-wise integer sums
+// HistogramStat is a fleet histogram: bucket-wise integer sums
 // (cumulative, like metrics.HistogramSnapshot) plus deterministic
 // quantile estimates.
 type HistogramStat struct {
@@ -306,59 +215,58 @@ type FleetSnapshot struct {
 	Histograms map[string]HistogramStat `json:"histograms"`
 }
 
-// Export freezes the aggregate into its canonical fleet snapshot. Every
-// float fold runs in sorted device-ID order, so the output is a pure
-// function of the device set. The device IDs are sorted once; each
-// series walks them and skips the devices it lacks.
+// Export freezes the aggregate into its canonical fleet snapshot. The
+// device IDs are sorted once and every device ranked; float folds walk
+// each column in rank order, integer folds in any order, so the output
+// is a pure function of the device set.
 func (a *Agg) Export() FleetSnapshot {
+	n := len(a.ids)
 	fs := FleetSnapshot{
-		Devices:    len(a.devices),
-		DeviceIDs:  sortedKeys(a.devices),
-		Counters:   map[string]CounterStat{},
-		Gauges:     map[string]GaugeStat{},
-		Histograms: map[string]HistogramStat{},
+		Devices:    n,
+		DeviceIDs:  make([]string, n),
+		Counters:   make(map[string]CounterStat, len(a.counters)),
+		Gauges:     make(map[string]GaugeStat, len(a.gauges)),
+		Histograms: make(map[string]HistogramStat, len(a.hists)),
 	}
-	for _, id := range fs.DeviceIDs {
-		if t := a.simTimes[id]; t > fs.SimTime {
+	copy(fs.DeviceIDs, a.ids)
+	sort.Strings(fs.DeviceIDs)
+	rank := make([]int32, n)
+	for r, id := range fs.DeviceIDs {
+		rank[a.index[id]] = int32(r)
+	}
+	for _, t := range a.simTimes {
+		if t > fs.SimTime {
 			fs.SimTime = t
 		}
 	}
-	for name, m := range a.counters {
-		st := CounterStat{Devices: len(m)}
-		first := true
-		for _, id := range fs.DeviceIDs {
-			v, ok := m[id]
-			if !ok {
-				continue
-			}
+	slot := make([]int32, n)
+	order := make([]int32, 0, n)
+	for name, c := range a.counters {
+		st := CounterStat{Devices: len(c.val)}
+		for j, v := range c.val {
 			st.Total += v
-			if first || v < st.Min {
+			if j == 0 || v < st.Min {
 				st.Min = v
 			}
-			if first || v > st.Max {
+			if j == 0 || v > st.Max {
 				st.Max = v
 			}
-			first = false
 		}
 		fs.Counters[name] = st
 	}
-	for name, m := range a.gauges {
-		st := GaugeStat{Devices: len(m)}
+	for name, c := range a.gauges {
+		st := GaugeStat{Devices: len(c.val)}
 		var sum float64
-		first := true
-		for _, id := range fs.DeviceIDs {
-			v, ok := m[id]
-			if !ok {
-				continue
-			}
+		order = byID(c.dev, rank, slot, order)
+		for k, j := range order {
+			v := c.val[j]
 			sum += v
-			if first || v < st.Min {
+			if k == 0 || v < st.Min {
 				st.Min = v
 			}
-			if first || v > st.Max {
+			if k == 0 || v > st.Max {
 				st.Max = v
 			}
-			first = false
 		}
 		if st.Devices > 0 {
 			st.Mean = sum / float64(st.Devices)
@@ -366,28 +274,24 @@ func (a *Agg) Export() FleetSnapshot {
 		fs.Gauges[name] = st
 	}
 	for name, h := range a.hists {
+		nb := len(h.bounds)
 		st := HistogramStat{
 			Bounds:  append([]float64(nil), h.bounds...),
-			Buckets: make([]int64, len(h.bounds)),
-			Devices: len(h.perDevice),
+			Buckets: make([]int64, nb),
+			Devices: len(h.dev),
 		}
-		perBucket := make([]int64, len(h.bounds))
-		for _, id := range fs.DeviceIDs {
-			dev, ok := h.perDevice[id]
-			if !ok {
-				continue
+		// Summing cumulative counts is int64 addition, so it equals
+		// cumulating the summed per-bucket counts.
+		for j := range h.dev {
+			for i, v := range h.buckets[j*nb : (j+1)*nb] {
+				st.Buckets[i] += v
 			}
-			for i, v := range dev.buckets {
-				perBucket[i] += v
-			}
-			st.Overflow += dev.overflow
-			st.Count += dev.count
-			st.Sum += dev.sum
+			st.Overflow += h.overflow[j]
+			st.Count += h.count[j]
 		}
-		var cum int64
-		for i, v := range perBucket {
-			cum += v
-			st.Buckets[i] = cum
+		order = byID(h.dev, rank, slot, order)
+		for _, j := range order {
+			st.Sum += h.sum[j]
 		}
 		st.P50 = Quantile(st, 0.50)
 		st.P90 = Quantile(st, 0.90)
@@ -395,6 +299,23 @@ func (a *Agg) Export() FleetSnapshot {
 		fs.Histograms[name] = st
 	}
 	return fs
+}
+
+// byID returns into out the indices of a column's entries, whose entry
+// j belongs to device dev[j], in sorted device-ID order. slot is
+// scratch with one zero per device; byID leaves it zeroed.
+func byID(dev, rank, slot, out []int32) []int32 {
+	for j, d := range dev {
+		slot[rank[d]] = int32(j) + 1
+	}
+	out = out[:0]
+	for r, s := range slot {
+		if s != 0 {
+			out = append(out, s-1)
+			slot[r] = 0
+		}
+	}
+	return out
 }
 
 // Quantile estimates the q-quantile of a merged histogram by linear

@@ -91,64 +91,6 @@ func TestAggregatePermutationInvariant(t *testing.T) {
 	}
 }
 
-// Merge must be associative: any binary association tree over any
-// sharding exports the same bytes as the flat aggregation.
-func TestMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	devs := randomFleet(rng, 8)
-	flat, err := Aggregate(devs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exportBytes(t, flat)
-
-	// Random association tree: start from singleton aggregates and
-	// repeatedly merge two random adjacent parts.
-	for trial := 0; trial < 20; trial++ {
-		parts := make([]*Agg, len(devs))
-		for i, d := range devs {
-			a, err := Aggregate(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts[i] = a
-		}
-		for len(parts) > 1 {
-			i := rng.Intn(len(parts) - 1)
-			merged, err := Merge(parts[i], parts[i+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts[i] = merged
-			parts = append(parts[:i+1], parts[i+2:]...)
-		}
-		if got := exportBytes(t, parts[0]); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: association tree changed the exported bytes", trial)
-		}
-	}
-}
-
-// The parallel sharded roll-up must match the sequential one bit for bit
-// at every worker count.
-func TestAggregateParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	devs := randomFleet(rng, 17)
-	seq, err := Aggregate(devs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exportBytes(t, seq)
-	for _, workers := range []int{1, 2, 3, 8, 32} {
-		par, err := AggregateParallel(workers, devs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := exportBytes(t, par); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: parallel aggregation changed the exported bytes", workers)
-		}
-	}
-}
-
 func TestAggregateRejectsDuplicatesAndMismatchedBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	d := randomDevice(rng, "dup")
@@ -168,9 +110,8 @@ func TestAggregateRejectsDuplicatesAndMismatchedBounds(t *testing.T) {
 		t.Fatal("mismatched histogram bounds accepted")
 	}
 	aa, _ := Aggregate(a)
-	bb, _ := Aggregate(randomDevice(rng, "a"))
-	if _, err := Merge(aa, bb); err == nil {
-		t.Fatal("merge with duplicate device accepted")
+	if err := aa.Add(randomDevice(rng, "a")); err == nil {
+		t.Fatal("Add of an already aggregated device accepted")
 	}
 }
 

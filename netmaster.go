@@ -545,8 +545,8 @@ type (
 	// FleetDevice pairs a device ID with its metrics snapshot for fleet
 	// aggregation.
 	FleetDevice = telemetry.Device
-	// FleetAgg is the mergeable multi-device aggregate: counters sum,
-	// gauges keep min/mean/max, histograms merge bucket-wise.
+	// FleetAgg is the multi-device aggregate: counters sum, gauges keep
+	// min/mean/max, histograms sum bucket-wise.
 	FleetAgg = telemetry.Agg
 	// FleetSnapshot is the deterministic fleet-wide export.
 	FleetSnapshot = telemetry.FleetSnapshot
