@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"netmaster/internal/cliconfig"
+	"netmaster/internal/stats"
 )
 
 // The goldens pin the bench report's two renderings over one canned
@@ -137,6 +138,8 @@ func TestBenchServeJSONSchemaPin(t *testing.T) {
 	}
 }
 
+// TestQuantileExactRanks pins the nearest-rank order statistics the
+// bench reports its client latencies with (stats.SortedQuantile).
 func TestQuantileExactRanks(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
@@ -144,11 +147,11 @@ func TestQuantileExactRanks(t *testing.T) {
 		want float64
 	}{{0.5, 5}, {0.9, 9}, {0.99, 10}, {1.0, 10}}
 	for _, c := range cases {
-		if got := quantile(sorted, c.q); got != c.want {
-			t.Errorf("quantile(%.2f) = %v, want %v", c.q, got, c.want)
+		if got := stats.SortedQuantile(sorted, c.q); got != c.want {
+			t.Errorf("SortedQuantile(%.2f) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if got := quantile(nil, 0.5); got != 0 {
+	if got := stats.SortedQuantile(nil, 0.5); got != 0 {
 		t.Errorf("quantile of empty data = %v, want 0", got)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"netmaster/internal/power"
 	"netmaster/internal/server"
 	"netmaster/internal/slo"
+	"netmaster/internal/stats"
 	"netmaster/internal/synth"
 	"netmaster/internal/tracing"
 )
@@ -177,21 +178,6 @@ func batches(n, size int) [][2]int {
 	return out
 }
 
-// quantile returns the ceil-rank order statistic of sorted data.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(float64(len(sorted))*q+0.9999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 func runBench(o cliconfig.Bench, logw io.Writer) (Result, error) {
 	if o.Devices <= 0 || o.Batch <= 0 || o.Concurrency <= 0 {
 		return Result{}, fmt.Errorf("devices, batch and concurrency must be positive")
@@ -324,10 +310,10 @@ func runBench(o cliconfig.Bench, logw io.Writer) (Result, error) {
 		ItemFailures: itemFailures.Load(),
 		ElapsedMS:    float64(elapsed) / float64(time.Millisecond),
 		Latency: Quantiles{
-			P50: quantile(latencies, 0.50),
-			P90: quantile(latencies, 0.90),
-			P99: quantile(latencies, 0.99),
-			Max: quantile(latencies, 1.00),
+			P50: stats.SortedQuantile(latencies, 0.50),
+			P90: stats.SortedQuantile(latencies, 0.90),
+			P99: stats.SortedQuantile(latencies, 0.99),
+			Max: stats.SortedQuantile(latencies, 1.00),
 		},
 		FleetReadMS:  fleetReadMS,
 		FleetDevices: fleetDevices,

@@ -105,17 +105,7 @@ func run(o cliconfig.Serve) error {
 		return err
 	}
 	defer srv.Close()
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "netmaster-serve: listening on http://%s\n", srv.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	<-ctx.Done()
-	stop()
-	fmt.Fprintln(os.Stderr, "netmaster-serve: draining")
-	return srv.Shutdown(context.Background())
+	return serve(srv, "listening")
 }
 
 func runRouter(o cliconfig.Serve) error {
@@ -138,16 +128,28 @@ func runRouter(o cliconfig.Serve) error {
 	if err != nil {
 		return err
 	}
-	if err := rt.Start(); err != nil {
+	return serve(rt, fmt.Sprintf("routing %d shards", len(cfg.Backends)))
+}
+
+// listener is the lifecycle the daemon and the router share.
+type listener interface {
+	Start() error
+	Addr() string
+	Shutdown(context.Context) error
+}
+
+// serve starts l, announces what it serves on stderr, and drains it
+// once SIGTERM or SIGINT arrives.
+func serve(l listener, what string) error {
+	if err := l.Start(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "netmaster-serve: routing %d shards on http://%s\n",
-		len(cfg.Backends), rt.Addr())
+	fmt.Fprintf(os.Stderr, "netmaster-serve: %s on http://%s\n", what, l.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	<-ctx.Done()
 	stop()
 	fmt.Fprintln(os.Stderr, "netmaster-serve: draining")
-	return rt.Shutdown(context.Background())
+	return l.Shutdown(context.Background())
 }

@@ -269,6 +269,46 @@ type HistogramSnapshot struct {
 	Sum      float64   `json:"sum"`
 }
 
+// BucketQuantile estimates the q-quantile of a cumulative-bucket
+// histogram (cum[i] observations ≤ bounds[i], count in all) by linear
+// interpolation within the bucket holding rank q·count,
+// prometheus-style: the estimate depends only on the integer counts and
+// the bounds, and lies within the true quantile's bucket. The first
+// bucket interpolates up from 0, or is its bound when that bound is not
+// positive; ranks landing in the overflow bucket clamp to the last
+// bound. It returns 0 when count ≤ 0 or there are no bounds, clamps q
+// into [0, 1], and expects len(cum) == len(bounds). It is the one
+// histogram estimator: fleet exports and scraped-snapshot SLO reads
+// both call it.
+func BucketQuantile(bounds []float64, cum []int64, count int64, q float64) float64 {
+	if count <= 0 || len(bounds) == 0 {
+		return 0
+	}
+	q = math.Max(0, math.Min(1, q))
+	rank := q * float64(count)
+	for i, c := range cum {
+		if float64(c) < rank {
+			continue
+		}
+		var prev int64
+		lower := 0.0
+		if i > 0 {
+			prev = cum[i-1]
+			lower = bounds[i-1]
+		} else if bounds[0] <= 0 {
+			// No finite lower edge for the first bucket of a
+			// non-positive bound: the bound itself is the estimate.
+			return bounds[0]
+		}
+		inBucket := c - prev
+		if inBucket <= 0 {
+			return bounds[i]
+		}
+		return lower + (bounds[i]-lower)*(rank-float64(prev))/float64(inBucket)
+	}
+	return bounds[len(bounds)-1] // in the overflow bucket: clamp
+}
+
 // Snapshot is a frozen, JSON-serialisable view of a registry. Map keys
 // marshal sorted, so identical runs export identical bytes.
 type Snapshot struct {

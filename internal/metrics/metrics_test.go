@@ -197,3 +197,34 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("sim time = %v, want 999", r.SimTime())
 	}
 }
+
+// TestBucketQuantile covers the estimator's branches on one 100-sample
+// layout (50 ≤ 10, 40 in (10,100], 10 in (100,1000]) and its edges.
+func TestBucketQuantile(t *testing.T) {
+	bounds := []float64{10, 100, 1000}
+	cum := []int64{50, 90, 100}
+	cases := []struct {
+		name   string
+		bounds []float64
+		cum    []int64
+		count  int64
+		q      float64
+		want   float64
+	}{
+		{"first bucket from 0", bounds, cum, 100, 0.25, 5},
+		{"bucket edge", bounds, cum, 100, 0.9, 100},
+		{"interpolated", bounds, cum, 100, 0.95, 550},
+		{"q above 1 clamps", bounds, cum, 100, 7, 1000},
+		{"q below 0 clamps", bounds, cum, 100, -1, 0},
+		{"overflow clamps to last bound", bounds, []int64{0, 0, 0}, 5, 0.5, 1000},
+		{"empty count", bounds, cum, 0, 0.5, 0},
+		{"rank 0 on an empty first bucket", []float64{1, 2}, []int64{0, 3}, 3, 0, 1},
+		{"non-positive first bound", []float64{0, 10}, []int64{4, 4}, 4, 0.5, 0},
+		{"no bounds", nil, nil, 3, 0.5, 0},
+	}
+	for _, tc := range cases {
+		if got := BucketQuantile(tc.bounds, tc.cum, tc.count, tc.q); got != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

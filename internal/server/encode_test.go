@@ -12,9 +12,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"netmaster/internal/metrics"
-	"netmaster/internal/reqtrace"
 )
 
 // setIndent is the oracle encodeIndented must match byte for byte.
@@ -203,10 +203,9 @@ func TestEncodeIndentedMarshalErrorWritesNothing(t *testing.T) {
 
 // spine is one request spine under test: the daemon's or the router's.
 type spine struct {
-	role    string
-	limited func(string, func(http.ResponseWriter, *http.Request) error) http.HandlerFunc
-	spans   *reqtrace.Ring
-	reg     *metrics.Registry
+	role string
+	*front
+	reg *metrics.Registry
 }
 
 func spines(t *testing.T) []spine {
@@ -225,8 +224,8 @@ func spines(t *testing.T) []spine {
 		t.Fatal(err)
 	}
 	return []spine{
-		{"server", s.limited, s.ring, cfg.Metrics},
-		{"router", rt.limited, rt.spans, rcfg.Metrics},
+		{"server", s.front, cfg.Metrics},
+		{"router", rt.front, rcfg.Metrics},
 	}
 }
 
@@ -295,6 +294,67 @@ func TestSpineErrorAfterBodyStarted(t *testing.T) {
 			}
 			if n := sp.reg.Snapshot().Counters[sp.role+"_http_probe_errors_5xx_total"]; n != 0 {
 				t.Fatalf("5xx count %d for a 200 response", n)
+			}
+		})
+	}
+}
+
+// TestSpineShedsWhenFull: with every admission slot taken, both roles
+// answer 429 with Retry-After without running the handler, count the
+// rejection and record an "overloaded" span.
+func TestSpineShedsWhenFull(t *testing.T) {
+	for _, sp := range spines(t) {
+		t.Run(sp.role, func(t *testing.T) {
+			h := sp.limited("probe", func(w http.ResponseWriter, r *http.Request) error {
+				t.Error("handler ran with the semaphore full")
+				return nil
+			})
+			for i := 0; i < cap(sp.sem); i++ {
+				sp.sem <- struct{}{}
+			}
+			rec := httptest.NewRecorder()
+			h(rec, httptest.NewRequest(http.MethodGet, "/probe", nil))
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("status %d with full semaphore, want 429", rec.Code)
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Error("429 without Retry-After")
+			}
+			if n := sp.reg.Snapshot().Counters[sp.role+"_rejected_total"]; n != 1 {
+				t.Errorf("%s_rejected_total %d, want 1", sp.role, n)
+			}
+			got := sp.spans.Recent(1)[0]
+			if got.Status != http.StatusTooManyRequests || got.ErrKind != "overloaded" || got.Role != sp.role {
+				t.Errorf("span status %d kind %q role %q, want 429 overloaded %s", got.Status, got.ErrKind, got.Role, sp.role)
+			}
+		})
+	}
+}
+
+// TestSpineLatencyFractionalMillis: <role>_latency_ms observes handle
+// time in fractional milliseconds, like the per-endpoint histograms. A
+// clock stepping 5.5 ms puts one 5.5 ms handle phase (start to
+// after-handler reading) in the <=10 bucket, not 5 in <=5.
+func TestSpineLatencyFractionalMillis(t *testing.T) {
+	for _, sp := range spines(t) {
+		t.Run(sp.role, func(t *testing.T) {
+			sp.now = fakeClock(5500 * time.Microsecond)
+			h := sp.limited("probe", func(w http.ResponseWriter, r *http.Request) error {
+				return writeJSON(w, http.StatusOK, map[string]string{"ok": "yes"})
+			})
+			h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/probe", nil))
+			hs := sp.reg.Snapshot().Histograms[sp.role+"_latency_ms"]
+			if hs.Count != 1 || hs.Sum != 5.5 {
+				t.Fatalf("count %d sum %v, want 1 observation of 5.5", hs.Count, hs.Sum)
+			}
+			for i, b := range hs.Bounds { // cumulative counts
+				want := int64(0)
+				if b >= 10 {
+					want = 1
+				}
+				if hs.Buckets[i] != want {
+					t.Errorf("bucket <=%v holds %d, want %d", b, hs.Buckets[i], want)
+				}
 			}
 		})
 	}

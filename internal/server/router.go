@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -29,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netmaster/internal/cfgerr"
 	"netmaster/internal/metrics"
 	"netmaster/internal/parallel"
 	"netmaster/internal/reqtrace"
@@ -90,30 +88,17 @@ func DefaultRouterConfig() RouterConfig {
 // Validate checks the configuration, returning cfgerr field errors.
 // Backend-set errors come from shard.Config's own validation.
 func (c *RouterConfig) Validate() error {
-	var es cfgerr.Errors
-	if c.Addr == "" {
-		es = append(es, cfgerr.New("server.RouterConfig", "Addr", c.Addr, "must be set"))
+	return c.front().validate("server.RouterConfig").Err()
+}
+
+// front is the request-spine part of the config.
+func (c *RouterConfig) front() frontConfig {
+	return frontConfig{
+		Addr: c.Addr, MaxInFlight: c.MaxInFlight,
+		RequestTimeout: c.RequestTimeout, ShutdownGrace: c.ShutdownGrace,
+		Parallelism: c.Parallelism, LogWriter: c.LogWriter, Metrics: c.Metrics,
+		SlowRequest: c.SlowRequest, TraceRing: c.TraceRing, SLO: c.SLO,
 	}
-	if c.MaxInFlight <= 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "MaxInFlight", c.MaxInFlight, "must be positive"))
-	}
-	if c.RequestTimeout <= 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "RequestTimeout", c.RequestTimeout, "must be positive"))
-	}
-	if c.ShutdownGrace <= 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "ShutdownGrace", c.ShutdownGrace, "must be positive"))
-	}
-	if c.Parallelism < 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "Parallelism", c.Parallelism, "must be non-negative"))
-	}
-	if c.SlowRequest < 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "SlowRequest", c.SlowRequest, "must be non-negative"))
-	}
-	if c.TraceRing < 0 {
-		es = append(es, cfgerr.New("server.RouterConfig", "TraceRing", c.TraceRing, "must be non-negative"))
-	}
-	es = appendSLOErrors(es, c.SLO)
-	return es.Err()
 }
 
 // ShardHealth is one backend's slice of the router's /healthz.
@@ -136,33 +121,13 @@ type RouterHealthResponse struct {
 
 // Router proxies the /v1/* API across the shard ring.
 type Router struct {
-	cfg    RouterConfig
+	*front // the spine's config is all the router reads after NewRouter
 	ring   *shard.Ring
-	mux    *http.ServeMux
-	http   *http.Server
-	ln     net.Listener
 	client *http.Client
 
-	sem      chan struct{}
-	inflight atomic.Int64
-
-	// Request observability: span ring, edge request-ID generation, SLO
-	// burn tracking, per-endpoint RED handles, injectable clock.
-	spans   *reqtrace.Ring
-	ids     *reqtrace.IDGen
-	tracker *slo.Tracker
-	obs     map[string]*endpointObs
-	now     func() time.Time
-
-	// router_* instrumentation (nil-tolerant handles).
-	mRequests  *metrics.Counter
-	mErrors    *metrics.Counter
-	mRejected  *metrics.Counter
-	mTimeouts  *metrics.Counter
-	mProxied   *metrics.Counter
-	mFanouts   *metrics.Counter
-	mInflight  *metrics.Gauge
-	mLatencyMS *metrics.Histogram
+	// router_* fan-out instrumentation (nil-tolerant handles).
+	mProxied *metrics.Counter
+	mFanouts *metrics.Counter
 }
 
 // NewRouter builds a Router from the config. The listener is not opened
@@ -180,29 +145,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client = &http.Client{}
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   ring,
-		mux:    http.NewServeMux(),
-		client: client,
-		sem:    make(chan struct{}, cfg.MaxInFlight),
-
-		spans:   reqtrace.NewRing(cfg.TraceRing, 0),
-		ids:     reqtrace.NewIDGen(),
-		tracker: slo.NewTracker(cfg.SLO, cfg.Metrics, "router_"),
-		obs:     make(map[string]*endpointObs),
-		now:     time.Now,
-
-		mRequests:  cfg.Metrics.Counter("router_requests_total"),
-		mErrors:    cfg.Metrics.Counter("router_errors_total"),
-		mRejected:  cfg.Metrics.Counter("router_rejected_total"),
-		mTimeouts:  cfg.Metrics.Counter("router_timeouts_total"),
-		mProxied:   cfg.Metrics.Counter("router_proxied_total"),
-		mFanouts:   cfg.Metrics.Counter("router_fanouts_total"),
-		mInflight:  cfg.Metrics.Gauge("router_in_flight"),
-		mLatencyMS: cfg.Metrics.Histogram("router_latency_ms", LatencyBuckets),
+		front:    newFront("router", cfg.front()),
+		ring:     ring,
+		client:   client,
+		mProxied: cfg.Metrics.Counter("router_proxied_total"),
+		mFanouts: cfg.Metrics.Counter("router_fanouts_total"),
 	}
 	rt.routes()
-	rt.http = &http.Server{Handler: rt.mux}
 	return rt, nil
 }
 
@@ -222,113 +171,10 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("GET /v1/fleet/devices", rt.limited("fleet_devices", rt.handleFleetDevices))
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /debug/requests", handleDebugRequests(rt.spans))
-}
-
-// ServeHTTP makes the router usable under httptest without a listener.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.mux.ServeHTTP(w, r)
 }
 
 // Ring exposes the placement ring (read-only; the Ring is immutable).
 func (rt *Router) Ring() *shard.Ring { return rt.ring }
-
-func (rt *Router) workers() int {
-	if rt.cfg.Parallelism > 0 {
-		return rt.cfg.Parallelism
-	}
-	return parallel.DefaultWorkers()
-}
-
-// limited is the router's request spine: request-ID assignment and
-// propagation, admission, deadline, span capture, RED metrics, SLO
-// tracking and logging — the same contract as the daemon's.
-func (rt *Router) limited(endpoint string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	ep := newEndpointObs(rt.cfg.Metrics, "router_", endpoint)
-	rt.obs[endpoint] = ep
-	return func(w http.ResponseWriter, r *http.Request) {
-		arrive := rt.now()
-		reqID, hop := reqtrace.Incoming(r.Header)
-		if reqID == "" {
-			reqID = rt.ids.Next()
-		}
-		w.Header().Set(reqtrace.HeaderRequestID, reqID)
-		rt.mRequests.Inc()
-		ep.requests.Inc()
-		sp := reqtrace.Span{RequestID: reqID, Role: "router", Endpoint: endpoint,
-			Method: r.Method, Path: r.URL.Path, Hop: hop}
-		select {
-		case rt.sem <- struct{}{}:
-		default:
-			rt.mRejected.Inc()
-			writeError(w, &apiError{Code: http.StatusTooManyRequests,
-				Kind: "overloaded", Msg: "too many requests in flight"})
-			rt.finish(ep, sp, w.Header(), http.StatusTooManyRequests, "overloaded", 0, arrive, arrive)
-			return
-		}
-		rt.mInflight.Set(float64(rt.inflight.Add(1)))
-		ep.enter()
-		start := rt.now()
-		defer func() {
-			<-rt.sem
-			rt.mInflight.Set(float64(rt.inflight.Add(-1)))
-			ep.exit()
-		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-		defer cancel()
-		ctx = reqtrace.WithRequestID(ctx, reqID)
-		sw := &statusWriter{ResponseWriter: w}
-		err := h(sw, r.WithContext(ctx))
-		rt.mLatencyMS.Observe(float64(rt.now().Sub(start).Milliseconds()))
-		errKind := ""
-		if err != nil {
-			rt.mErrors.Inc()
-			var ae *apiError
-			switch {
-			case errors.As(err, &ae):
-			case errors.Is(err, context.DeadlineExceeded):
-				rt.mTimeouts.Inc()
-				ae = &apiError{Code: http.StatusGatewayTimeout,
-					Kind: "timeout", Msg: "request deadline exceeded"}
-			default:
-				ae = &apiError{Code: http.StatusInternalServerError,
-					Kind: "internal", Msg: err.Error()}
-			}
-			if sw.status == 0 {
-				writeError(sw, ae)
-			}
-			errKind = ae.Kind
-		}
-		rt.finish(ep, sp, sw.Header(), sw.status, errKind, sw.bytes, arrive, start)
-	}
-}
-
-// finish is the router half of Server.finish: span, RED, SLO, slow
-// line and the access-log line (role "router", with the routed shard
-// from the X-Netmaster-Shard response header when one was chosen).
-func (rt *Router) finish(ep *endpointObs, sp reqtrace.Span, hdr http.Header, status int, errKind string, bytes int, arrive, start time.Time) {
-	end := rt.now()
-	sp.Status = status
-	sp.ErrKind = errKind
-	sp.Shard = hdr.Get(reqtrace.HeaderShard)
-	sp.Cache = hdr.Get("X-Netmaster-Cache")
-	sp.QueueWaitMS = durMS(start.Sub(arrive))
-	sp.HandleMS = durMS(end.Sub(start))
-	sp.TotalMS = durMS(end.Sub(arrive))
-	sp.Bytes = bytes
-	ep.finish(status, sp.TotalMS)
-	rt.tracker.Observe(sp.TotalMS, status >= 500)
-	rt.spans.Record(sp)
-	if rt.cfg.SlowRequest > 0 && end.Sub(arrive) >= rt.cfg.SlowRequest {
-		emitLog(rt.cfg.LogWriter, slowLine{SlowRequest: sp})
-	}
-	emitLog(rt.cfg.LogWriter, accessLine{
-		Role: "router", Method: sp.Method, Path: sp.Path, Status: status, Bytes: bytes,
-		Millis: end.Sub(arrive).Milliseconds(), InFlight: rt.inflight.Load(),
-		RequestID: sp.RequestID, Shard: sp.Shard, Cache: sp.Cache, QueueWaitMS: sp.QueueWaitMS,
-	})
-}
 
 // routeProbe is a loose view of any /v1/* request body: just the fields
 // that can carry a routing key.
@@ -415,24 +261,8 @@ func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) error {
 // stamped on the sub-request (with the context's request ID) so the
 // shard's span correlates back to the routed request.
 func (rt *Router) getJSON(ctx context.Context, backend, path string, out any, hop int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+path, nil)
-	if err != nil {
-		return err
-	}
-	reqtrace.Propagate(req.Header, reqtrace.RequestID(ctx), hop)
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return json.Unmarshal(body, out)
+	_, err := rt.roundTrip(ctx, http.MethodGet, backend+path, nil, out, hop)
+	return err
 }
 
 // postJSON posts in to one shard URL and decodes the 200 body into
@@ -442,25 +272,38 @@ func (rt *Router) postJSON(ctx context.Context, backend, path string, in, out an
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, backend+path, bytes.NewReader(payload))
+	return rt.roundTrip(ctx, http.MethodPost, backend+path, payload, out, hop)
+}
+
+// roundTrip sends one shard sub-request (a JSON payload when non-nil)
+// and decodes a 200 body into out; any other status is an error
+// carrying the shard's body.
+func (rt *Router) roundTrip(ctx context.Context, method, target string, payload []byte, out any, hop int) (http.Header, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, target, body)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	reqtrace.Propagate(req.Header, reqtrace.RequestID(ctx), hop)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	return resp.Header, json.Unmarshal(body, out)
+	return resp.Header, json.Unmarshal(raw, out)
 }
 
 // shardDumps fans GET /v1/fleet/devices out to every shard and returns
@@ -836,32 +679,3 @@ func (rt *Router) handleScheduleBatch(w http.ResponseWriter, r *http.Request) er
 	}
 	return writeJSON(w, http.StatusOK, resp)
 }
-
-// Start opens the listener and serves until Shutdown.
-func (rt *Router) Start() error {
-	ln, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("router: listen %s: %w", rt.cfg.Addr, err)
-	}
-	rt.ln = ln
-	go rt.http.Serve(ln)
-	return nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (rt *Router) Addr() string {
-	if rt.ln == nil {
-		return rt.cfg.Addr
-	}
-	return rt.ln.Addr().String()
-}
-
-// Shutdown drains in-flight requests within the configured grace.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	dctx, cancel := context.WithTimeout(ctx, rt.cfg.ShutdownGrace)
-	defer cancel()
-	return rt.http.Shutdown(dctx)
-}
-
-// InFlight returns the number of requests currently being served.
-func (rt *Router) InFlight() int64 { return rt.inflight.Load() }

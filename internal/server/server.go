@@ -18,24 +18,18 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netmaster/internal/atomicfile"
 	"netmaster/internal/cfgerr"
 	"netmaster/internal/metrics"
 	"netmaster/internal/parallel"
-	"netmaster/internal/reqtrace"
 	"netmaster/internal/slo"
 	"netmaster/internal/store"
 	"netmaster/internal/telemetry"
@@ -116,24 +110,9 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration, returning cfgerr field errors.
 func (c *Config) Validate() error {
-	var es cfgerr.Errors
-	if c.Addr == "" {
-		es = append(es, cfgerr.New("server.Config", "Addr", c.Addr, "must be set"))
-	}
-	if c.MaxInFlight <= 0 {
-		es = append(es, cfgerr.New("server.Config", "MaxInFlight", c.MaxInFlight, "must be positive"))
-	}
+	es := c.front().validate("server.Config")
 	if c.CacheSize < 0 {
 		es = append(es, cfgerr.New("server.Config", "CacheSize", c.CacheSize, "must be non-negative"))
-	}
-	if c.RequestTimeout <= 0 {
-		es = append(es, cfgerr.New("server.Config", "RequestTimeout", c.RequestTimeout, "must be positive"))
-	}
-	if c.ShutdownGrace <= 0 {
-		es = append(es, cfgerr.New("server.Config", "ShutdownGrace", c.ShutdownGrace, "must be positive"))
-	}
-	if c.Parallelism < 0 {
-		es = append(es, cfgerr.New("server.Config", "Parallelism", c.Parallelism, "must be non-negative"))
 	}
 	if c.CompactEvery < 0 {
 		es = append(es, cfgerr.New("server.Config", "CompactEvery", c.CompactEvery, "must be non-negative"))
@@ -141,32 +120,17 @@ func (c *Config) Validate() error {
 	if c.StateDir != "" && c.CacheSize == 0 {
 		es = append(es, cfgerr.New("server.Config", "CacheSize", c.CacheSize, "must be positive when StateDir is set (recovered profiles need a cache to live in)"))
 	}
-	if c.SlowRequest < 0 {
-		es = append(es, cfgerr.New("server.Config", "SlowRequest", c.SlowRequest, "must be non-negative"))
-	}
-	if c.TraceRing < 0 {
-		es = append(es, cfgerr.New("server.Config", "TraceRing", c.TraceRing, "must be non-negative"))
-	}
-	es = appendSLOErrors(es, c.SLO)
 	return es.Err()
 }
 
-// appendSLOErrors folds a nested slo.Config validation into the
-// caller's error list, keeping the slo.Config component name so the
-// failing field stays unambiguous.
-func appendSLOErrors(es cfgerr.Errors, cfg slo.Config) cfgerr.Errors {
-	err := cfg.Validate()
-	if err == nil {
-		return es
+// front is the request-spine part of the config.
+func (c *Config) front() frontConfig {
+	return frontConfig{
+		Addr: c.Addr, MaxInFlight: c.MaxInFlight,
+		RequestTimeout: c.RequestTimeout, ShutdownGrace: c.ShutdownGrace,
+		Parallelism: c.Parallelism, LogWriter: c.LogWriter, Metrics: c.Metrics,
+		SlowRequest: c.SlowRequest, TraceRing: c.TraceRing, SLO: c.SLO,
 	}
-	var sub cfgerr.Errors
-	if errors.As(err, &sub) {
-		return append(es, sub...)
-	}
-	if fe, ok := cfgerr.Field(err); ok {
-		return append(es, fe)
-	}
-	return es
 }
 
 // ingested is one device's artifacts as received on /v1/fleet/ingest.
@@ -178,10 +142,8 @@ type ingested struct {
 
 // Server is the daemon: an http.Handler plus the state behind it.
 type Server struct {
-	cfg  Config
-	mux  *http.ServeMux
-	http *http.Server
-	ln   net.Listener
+	*front
+	cfg Config
 
 	profiles  *lru // sketch-state profile ID → *profileEntry
 	aliases   *lru // request-shape alias → profile ID
@@ -197,31 +159,13 @@ type Server struct {
 	store     *store.Store
 	persisted *lru // profile ID → sketch binary, the durably held set
 
-	sem      chan struct{}
-	inflight atomic.Int64
-
-	// Request observability: span ring behind /debug/requests, edge
-	// request-ID generation, SLO burn tracking, per-endpoint RED
-	// handles, and an injectable clock so log/span tests can pin time.
-	ring    *reqtrace.Ring
-	ids     *reqtrace.IDGen
-	tracker *slo.Tracker
-	obs     map[string]*endpointObs
-	now     func() time.Time
-
-	// server_* instrumentation (nil-tolerant handles).
-	mRequests  *metrics.Counter
-	mErrors    *metrics.Counter
-	mRejected  *metrics.Counter
-	mTimeouts  *metrics.Counter
+	// server_* cache instrumentation (nil-tolerant handles).
 	mCacheHit  *metrics.Counter
 	mCacheMiss *metrics.Counter
 	mCacheEvic *metrics.Counter
 	mProfHit   *metrics.Counter
 	mProfMiss  *metrics.Counter
 	mProfEvic  *metrics.Counter
-	mInflight  *metrics.Gauge
-	mLatencyMS *metrics.Histogram
 
 	// server_store_* instrumentation, registered only with a StateDir.
 	mStoreAppends  *metrics.Counter
@@ -238,34 +182,21 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
+		front:     newFront("server", cfg.front()),
 		cfg:       cfg,
-		mux:       http.NewServeMux(),
 		profiles:  newLRU(cfg.CacheSize),
 		aliases:   newLRU(cfg.CacheSize),
 		batchAcks: newLRU(cfg.CacheSize),
 		fleet:     make(map[string]ingested),
-		sem:       make(chan struct{}, cfg.MaxInFlight),
+		persisted: newLRU(cfg.CacheSize),
 
-		ring:    reqtrace.NewRing(cfg.TraceRing, 0),
-		ids:     reqtrace.NewIDGen(),
-		tracker: slo.NewTracker(cfg.SLO, cfg.Metrics, "server_"),
-		obs:     make(map[string]*endpointObs),
-		now:     time.Now,
-
-		mRequests:  cfg.Metrics.Counter("server_requests_total"),
-		mErrors:    cfg.Metrics.Counter("server_errors_total"),
-		mRejected:  cfg.Metrics.Counter("server_rejected_total"),
-		mTimeouts:  cfg.Metrics.Counter("server_timeouts_total"),
 		mCacheHit:  cfg.Metrics.Counter("server_cache_hits_total"),
 		mCacheMiss: cfg.Metrics.Counter("server_cache_misses_total"),
 		mCacheEvic: cfg.Metrics.Counter("server_cache_evictions_total"),
 		mProfHit:   cfg.Metrics.Counter("server_profile_cache_hits_total"),
 		mProfMiss:  cfg.Metrics.Counter("server_profile_cache_misses_total"),
 		mProfEvic:  cfg.Metrics.Counter("server_profile_cache_evictions_total"),
-		mInflight:  cfg.Metrics.Gauge("server_in_flight"),
-		mLatencyMS: cfg.Metrics.Histogram("server_latency_ms", LatencyBuckets),
 	}
-	s.persisted = newLRU(cfg.CacheSize)
 	if cfg.StateDir != "" {
 		s.mStoreAppends = cfg.Metrics.Counter("server_store_appends_total")
 		s.mStoreReplays = cfg.Metrics.Counter("server_store_replays_total")
@@ -275,9 +206,9 @@ func New(cfg Config) (*Server, error) {
 		if err := s.openStore(); err != nil {
 			return nil, err
 		}
+		s.storeMode = func() string { return s.storeStatus().Mode }
 	}
 	s.routes()
-	s.http = &http.Server{Handler: s.mux}
 	return s, nil
 }
 
@@ -293,141 +224,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/fleet/devices", s.limited("fleet_devices", s.handleFleetDevices))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /debug/requests", handleDebugRequests(s.ring))
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// ServeHTTP makes the server usable under httptest without a listener.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// statusWriter records the status code for logging and metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += n
-	return n, err
-}
-
-// limited wraps an API handler with the full request spine: request-ID
-// assignment/propagation, semaphore admission (429 on overload),
-// deadline, error mapping, span capture, RED metrics, SLO tracking and
-// logging. endpoint keys the per-endpoint series and span records.
-func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	ep := newEndpointObs(s.cfg.Metrics, "server_", endpoint)
-	s.obs[endpoint] = ep
-	return func(w http.ResponseWriter, r *http.Request) {
-		arrive := s.now()
-		// The edge mints the request ID; a propagated one (router hop)
-		// wins. Either way the response echoes it immediately, so even
-		// a 429 is correlatable.
-		reqID, hop := reqtrace.Incoming(r.Header)
-		if reqID == "" {
-			reqID = s.ids.Next()
-		}
-		w.Header().Set(reqtrace.HeaderRequestID, reqID)
-		s.mRequests.Inc()
-		ep.requests.Inc()
-		sp := reqtrace.Span{RequestID: reqID, Role: "server", Endpoint: endpoint,
-			Method: r.Method, Path: r.URL.Path, Hop: hop}
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			// Full house: shed immediately. Retry-After is advisory;
-			// the bound is requests in flight, not a rate. Rejected
-			// requests still span + count, so /debug/requests
-			// reconciles exactly with server_requests_total.
-			s.mRejected.Inc()
-			writeError(w, &apiError{Code: http.StatusTooManyRequests,
-				Kind: "overloaded", Msg: "too many requests in flight"})
-			s.finish(ep, sp, w.Header(), http.StatusTooManyRequests, "overloaded", 0, arrive, arrive)
-			return
-		}
-		s.mInflight.Set(float64(s.inflight.Add(1)))
-		ep.enter()
-		start := s.now()
-		defer func() {
-			<-s.sem
-			s.mInflight.Set(float64(s.inflight.Add(-1)))
-			ep.exit()
-		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		ctx = reqtrace.WithRequestID(ctx, reqID)
-		sw := &statusWriter{ResponseWriter: w}
-		err := h(sw, r.WithContext(ctx))
-		s.mLatencyMS.Observe(float64(s.now().Sub(start).Milliseconds()))
-		errKind := ""
-		if err != nil {
-			s.mErrors.Inc()
-			var ae *apiError
-			switch {
-			case errors.As(err, &ae):
-			case errors.Is(err, context.DeadlineExceeded):
-				s.mTimeouts.Inc()
-				ae = &apiError{Code: http.StatusGatewayTimeout,
-					Kind: "timeout", Msg: "request deadline exceeded"}
-			default:
-				ae = &apiError{Code: http.StatusInternalServerError,
-					Kind: "internal", Msg: err.Error()}
-			}
-			// A handler that already started its body has sent its
-			// status; a second envelope would corrupt the body.
-			if sw.status == 0 {
-				writeError(sw, ae)
-			}
-			errKind = ae.Kind
-		}
-		s.finish(ep, sp, sw.Header(), sw.status, errKind, sw.bytes, arrive, start)
-	}
-}
-
-// finish closes out one request: it completes the span and records it,
-// lands the RED and SLO observations, and emits the slow-request and
-// access-log lines. start equals arrive on the 429 path (the request
-// never reached a handler).
-func (s *Server) finish(ep *endpointObs, sp reqtrace.Span, hdr http.Header, status int, errKind string, bytes int, arrive, start time.Time) {
-	end := s.now()
-	sp.Status = status
-	sp.ErrKind = errKind
-	sp.Cache = hdr.Get("X-Netmaster-Cache")
-	if st := s.storeStatus(); st != nil {
-		sp.StoreMode = st.Mode
-	}
-	sp.QueueWaitMS = durMS(start.Sub(arrive))
-	sp.HandleMS = durMS(end.Sub(start))
-	sp.TotalMS = durMS(end.Sub(arrive))
-	sp.Bytes = bytes
-	ep.finish(status, sp.TotalMS)
-	s.tracker.Observe(sp.TotalMS, status >= 500)
-	s.ring.Record(sp)
-	if s.cfg.SlowRequest > 0 && end.Sub(arrive) >= s.cfg.SlowRequest {
-		emitLog(s.cfg.LogWriter, slowLine{SlowRequest: sp})
-	}
-	emitLog(s.cfg.LogWriter, accessLine{
-		Method: sp.Method, Path: sp.Path, Status: status, Bytes: bytes,
-		Millis: end.Sub(arrive).Milliseconds(), InFlight: s.inflight.Load(),
-		RequestID: sp.RequestID, Cache: sp.Cache, QueueWaitMS: sp.QueueWaitMS,
-	})
 }
 
 // writeJSON writes an indented, deterministic JSON body. The status is
@@ -469,50 +270,11 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// Start opens the listener and serves until Shutdown. It returns once
-// the listener is accepting, with the bound address in Addr().
-func (s *Server) Start() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
-	}
-	s.ln = ln
-	go s.http.Serve(ln)
-	return nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return s.cfg.Addr
-	}
-	return s.ln.Addr().String()
-}
-
-// Shutdown drains in-flight requests within the configured grace and
-// tears the listener down.
-func (s *Server) Shutdown(ctx context.Context) error {
-	dctx, cancel := context.WithTimeout(ctx, s.cfg.ShutdownGrace)
-	defer cancel()
-	return s.http.Shutdown(dctx)
-}
-
-// InFlight returns the number of API requests currently being served.
-func (s *Server) InFlight() int64 { return s.inflight.Load() }
-
 // Devices returns the current ingested fleet size.
 func (s *Server) Devices() int {
 	s.fleetMu.Lock()
 	defer s.fleetMu.Unlock()
 	return len(s.fleet)
-}
-
-// workers is the bounded fan-out width for per-request parallel work.
-func (s *Server) workers() int {
-	if s.cfg.Parallelism > 0 {
-		return s.cfg.Parallelism
-	}
-	return parallel.DefaultWorkers()
 }
 
 // deviceDumps snapshots the ingested fleet in sorted-ID order: each

@@ -237,40 +237,22 @@ func (t *Tracker) Status() Status {
 }
 
 // HistogramQuantile estimates the q-quantile (0 < q ≤ 1) of a scraped
-// cumulative-bucket histogram snapshot, prometheus-style: find the
-// bucket where the cumulative count crosses rank q·count and
+// cumulative-bucket histogram snapshot with metrics.BucketQuantile:
+// find the bucket where the cumulative count crosses rank q·count and
 // interpolate linearly within it. Observations above the last bound
 // clamp to that bound — the estimator cannot see past its buckets, so
 // the caller should size bounds above the target SLO. Returns 0 for an
-// empty histogram and an error for a malformed q or snapshot.
+// empty histogram and an error for a malformed q or snapshot, including
+// one with no bounds.
 func HistogramQuantile(hs metrics.HistogramSnapshot, q float64) (float64, error) {
 	if q <= 0 || q > 1 {
 		return 0, fmt.Errorf("slo: quantile %v out of (0,1]", q)
 	}
+	if len(hs.Bounds) == 0 {
+		return 0, fmt.Errorf("slo: snapshot has no bucket bounds")
+	}
 	if len(hs.Buckets) != len(hs.Bounds) {
 		return 0, fmt.Errorf("slo: snapshot has %d buckets for %d bounds", len(hs.Buckets), len(hs.Bounds))
 	}
-	if hs.Count == 0 {
-		return 0, nil
-	}
-	rank := q * float64(hs.Count)
-	for i, cum := range hs.Buckets {
-		if float64(cum) < rank {
-			continue
-		}
-		upper := hs.Bounds[i]
-		lower := 0.0
-		prev := int64(0)
-		if i > 0 {
-			lower = hs.Bounds[i-1]
-			prev = hs.Buckets[i-1]
-		}
-		inBucket := cum - prev
-		if inBucket <= 0 {
-			return upper, nil
-		}
-		return lower + (upper-lower)*(rank-float64(prev))/float64(inBucket), nil
-	}
-	// Rank lands in the overflow bucket: clamp to the last bound.
-	return hs.Bounds[len(hs.Bounds)-1], nil
+	return metrics.BucketQuantile(hs.Bounds, hs.Buckets, hs.Count, q), nil
 }

@@ -200,6 +200,12 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if _, err := HistogramQuantile(bad, 0.5); err == nil {
 		t.Error("mismatched bounds/buckets should error")
 	}
+	// No bounds at all (what Registry.Histogram(name, nil) produces) is
+	// malformed, not a panic.
+	nobounds := metrics.HistogramSnapshot{Bounds: []float64{}, Buckets: []int64{}, Overflow: 3, Count: 3}
+	if _, err := HistogramQuantile(nobounds, 0.5); err == nil {
+		t.Error("empty bounds should error")
+	}
 	// All observations in overflow clamp to the last bound.
 	over := metrics.HistogramSnapshot{Bounds: []float64{10, 20}, Buckets: []int64{0, 0}, Overflow: 5, Count: 5}
 	if got, err := HistogramQuantile(over, 0.99); err != nil || got != 20 {

@@ -16,11 +16,11 @@ package analyze
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"netmaster/internal/metrics"
 	"netmaster/internal/simtime"
+	"netmaster/internal/stats"
 	"netmaster/internal/tracing"
 )
 
@@ -502,26 +502,11 @@ func deferStats(vals []float64) DeferStats {
 		sum += v
 	}
 	st.MeanSecs = sum / float64(len(sorted))
-	st.P50Secs = exactQuantile(sorted, 0.50)
-	st.P90Secs = exactQuantile(sorted, 0.90)
-	st.P99Secs = exactQuantile(sorted, 0.99)
+	st.P50Secs = stats.SortedQuantile(sorted, 0.50)
+	st.P90Secs = stats.SortedQuantile(sorted, 0.90)
+	st.P99Secs = stats.SortedQuantile(sorted, 0.99)
 	st.MaxSecs = sorted[len(sorted)-1]
 	return st
-}
-
-// exactQuantile returns the ceil-rank order statistic of sorted data.
-func exactQuantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // FleetReport rolls device analyses up to the cohort: integer totals

@@ -318,50 +318,13 @@ func byID(dev, rank, slot, out []int32) []int32 {
 	return out
 }
 
-// Quantile estimates the q-quantile of a merged histogram by linear
-// interpolation within the bucket holding the target rank —
-// prometheus-style, hence deterministic: the estimate depends only on
-// the integer bucket counts and the bounds. The estimate lies within the
-// true quantile's bucket, so its error is bounded by that bucket's
-// width; ranks landing in the overflow bucket clamp to the last bound.
-// It returns 0 for an empty histogram and clamps q into [0, 1].
+// Quantile estimates the q-quantile of a merged histogram with
+// metrics.BucketQuantile: linear interpolation within the bucket holding
+// the target rank, so the error is bounded by that bucket's width and
+// ranks landing in the overflow bucket clamp to the last bound. It
+// returns 0 for an empty histogram and clamps q into [0, 1].
 func Quantile(h HistogramStat, q float64) float64 {
-	if h.Count <= 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	last := len(h.Bounds) - 1
-	if float64(h.Buckets[last]) < rank {
-		return h.Bounds[last] // in the overflow bucket: clamp
-	}
-	for i, cum := range h.Buckets {
-		if float64(cum) < rank {
-			continue
-		}
-		var prev int64
-		lower := 0.0
-		if i > 0 {
-			prev = h.Buckets[i-1]
-			lower = h.Bounds[i-1]
-		} else if h.Bounds[0] <= 0 {
-			// No finite lower edge for the first bucket of a
-			// non-positive bound: the bound itself is the estimate.
-			return h.Bounds[0]
-		}
-		width := h.Bounds[i] - lower
-		inBucket := cum - prev
-		if inBucket <= 0 {
-			return h.Bounds[i]
-		}
-		return lower + width*(rank-float64(prev))/float64(inBucket)
-	}
-	return h.Bounds[last]
+	return metrics.BucketQuantile(h.Bounds, h.Buckets, h.Count, q)
 }
 
 // WriteJSON writes the snapshot as indented JSON, byte-stable for a
